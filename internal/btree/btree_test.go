@@ -145,9 +145,9 @@ func TestHeightAndInternalPages(t *testing.T) {
 		wantHeight int
 		wantInner  int64
 	}{
-		{100, 250, 400, 1, 0},       // single leaf
+		{100, 250, 400, 1, 0},            // single leaf
 		{1000, 10, 4, 5, 25 + 7 + 2 + 1}, // 100 leaves -> 25 -> 7 -> 2 -> 1
-		{100000, 250, 400, 2, 1},    // 400 leaves -> root
+		{100000, 250, 400, 2, 1},         // 400 leaves -> root
 	}
 	for _, c := range cases {
 		m := newManager()

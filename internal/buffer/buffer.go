@@ -10,8 +10,9 @@
 package buffer
 
 import (
-	"container/list"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pioqo/internal/disk"
 	"pioqo/internal/obs"
@@ -32,7 +33,7 @@ type Pool struct {
 	capacity int
 
 	frames map[PageKey]*frame
-	lru    *list.List // unpinned, loaded frames; front = most recent
+	lru    frame // sentinel of the ring of unpinned, loaded frames
 
 	resident map[disk.FileID]int64 // loaded pages per file
 	files    map[disk.FileID]*disk.File
@@ -81,7 +82,30 @@ type frame struct {
 	pins    int
 	dirty   bool
 	loading *sim.Completion // non-nil while the device read is in flight
-	lruEl   *list.Element   // non-nil iff unpinned and loaded
+
+	// prev and next link the frame into the pool's LRU ring. Both are
+	// non-nil iff the frame is unpinned and loaded.
+	prev, next *frame
+}
+
+// The LRU is an intrusive doubly-linked ring through the frames
+// themselves, closed by the pool's sentinel frame: lru.next is the most
+// recently used frame and lru.prev the least. Linking and unlinking touch
+// only pointers already in the frames, so unpins allocate nothing.
+
+// lruPush links f in as the most recently used frame.
+func (p *Pool) lruPush(f *frame) {
+	s := &p.lru
+	f.prev, f.next = s, s.next
+	s.next.prev = f
+	s.next = f
+}
+
+// lruRemove unlinks f from the ring.
+func (p *Pool) lruRemove(f *frame) {
+	f.prev.next = f.next
+	f.next.prev = f.prev
+	f.prev, f.next = nil, nil
 }
 
 // NewPool returns a pool with room for capacity pages.
@@ -89,15 +113,16 @@ func NewPool(e *sim.Env, capacity int) *Pool {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("buffer: pool capacity %d", capacity))
 	}
-	return &Pool{
+	p := &Pool{
 		env:            e,
 		capacity:       capacity,
 		frames:         make(map[PageKey]*frame, capacity),
-		lru:            list.New(),
 		resident:       make(map[disk.FileID]int64),
 		files:          make(map[disk.FileID]*disk.File),
 		inFlightWrites: sim.NewWaitGroup(e),
 	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p
 }
 
 // Capacity returns the pool size in pages.
@@ -153,15 +178,14 @@ func (p *Pool) trackCached() {
 // queue, which is how real pools avoid stalling page allocation on
 // write-back.
 func (p *Pool) evictOne() bool {
-	back := p.lru.Back()
-	if back == nil {
+	f := p.lru.prev
+	if f == &p.lru {
 		return false
 	}
-	f := back.Value.(*frame)
 	if f.dirty {
 		p.writeBack(f)
 	}
-	p.lru.Remove(back)
+	p.lruRemove(f)
 	delete(p.frames, f.key)
 	p.resident[f.key.File]--
 	p.epoch++
@@ -223,8 +247,8 @@ func (p *Pool) install(key PageKey, c *sim.Completion) *frame {
 			return
 		}
 		f.loading = nil
-		if f.pins == 0 && f.lruEl == nil {
-			f.lruEl = p.lru.PushFront(f)
+		if f.pins == 0 && f.next == nil {
+			p.lruPush(f)
 		}
 	})
 	return f
@@ -233,9 +257,8 @@ func (p *Pool) install(key PageKey, c *sim.Completion) *frame {
 // pin marks the frame in use and removes it from the eviction list.
 func (p *Pool) pin(f *frame) {
 	f.pins++
-	if f.lruEl != nil {
-		p.lru.Remove(f.lruEl)
-		f.lruEl = nil
+	if f.next != nil {
+		p.lruRemove(f)
 	}
 }
 
@@ -260,7 +283,7 @@ func (h Handle) Release() {
 	}
 	f.pins--
 	if f.pins == 0 && f.loading == nil {
-		f.lruEl = h.pool.lru.PushFront(f)
+		h.pool.lruPush(f)
 	}
 }
 
@@ -449,9 +472,8 @@ func (p *Pool) Discard(file *disk.File, page int64) bool {
 	if !ok || f.pins > 0 || f.loading != nil || f.dirty {
 		return false
 	}
-	if f.lruEl != nil {
-		p.lru.Remove(f.lruEl)
-		f.lruEl = nil
+	if f.next != nil {
+		p.lruRemove(f)
 	}
 	delete(p.frames, key)
 	p.resident[key.File]--
@@ -481,12 +503,24 @@ func (p *Pool) Flush() int {
 
 // FlushDirty writes back every dirty frame without evicting anything and
 // blocks the process until all write-backs — including those issued
-// earlier by evictions — are durable on the device (a checkpoint).
+// earlier by evictions — are durable on the device (a checkpoint). The
+// writes go out in (file, page) order, so a checkpoint's device schedule —
+// and every runtime it feeds — repeats exactly from run to run.
 func (p *Pool) FlushDirty(proc *sim.Proc) {
+	var dirty []*frame
 	for _, f := range p.frames {
 		if f.dirty && f.loading == nil {
-			p.writeBack(f)
+			dirty = append(dirty, f)
 		}
+	}
+	slices.SortFunc(dirty, func(a, b *frame) int {
+		if c := cmp.Compare(a.key.File, b.key.File); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key.Page, b.key.Page)
+	})
+	for _, f := range dirty {
+		p.writeBack(f)
 	}
 	proc.WaitFor(p.inFlightWrites)
 }

@@ -1,8 +1,12 @@
 package buffer
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
+	"pioqo/internal/device"
+	"pioqo/internal/disk"
 	"pioqo/internal/sim"
 )
 
@@ -89,5 +93,42 @@ func TestPoolFlushWritesDirtyFramesOut(t *testing.T) {
 	})
 	if w.pool.Stats.DirtyWrites != 1 {
 		t.Errorf("dirty writes = %d, want 1 from Flush", w.pool.Stats.DirtyWrites)
+	}
+}
+
+// writeLog records the byte offsets of the writes a device accepts.
+type writeLog struct {
+	device.Device
+	offsets []int64
+}
+
+func (w *writeLog) WriteAt(offset int64, length int) *sim.Completion {
+	w.offsets = append(w.offsets, offset)
+	return w.Device.WriteAt(offset, length)
+}
+
+// A checkpoint writes its dirty frames back in (file, page) order — the
+// same order on every run — whatever order they were dirtied in.
+func TestFlushDirtyWritesInPageOrder(t *testing.T) {
+	env := sim.NewEnv(1)
+	dev := &writeLog{Device: device.NewHDD(env, device.DefaultHDDConfig())}
+	m := disk.NewManager(dev)
+	files := []*disk.File{m.MustAllocate("a", 512), m.MustAllocate("b", 512)}
+	pool := NewPool(env, 256)
+	rng := rand.New(rand.NewSource(7))
+	env.Go("test", func(p *sim.Proc) {
+		for _, i := range rng.Perm(200) {
+			h := pool.FetchPage(p, files[i%2], int64(i*2))
+			h.MarkDirty()
+			h.Release()
+		}
+		pool.FlushDirty(p)
+	})
+	env.Run()
+	if len(dev.offsets) != 200 {
+		t.Fatalf("%d writes, want 200", len(dev.offsets))
+	}
+	if !slices.IsSorted(dev.offsets) {
+		t.Fatalf("checkpoint writes out of page order: %v", dev.offsets)
 	}
 }

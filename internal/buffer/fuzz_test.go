@@ -1,44 +1,34 @@
 package buffer
 
 import (
-	"container/list"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pioqo/internal/sim"
 )
 
 // refLRU is an independent reference implementation of LRU residency, kept
-// deliberately naive: a list of page numbers, most recent at the front.
+// deliberately naive: a slice of page numbers, most recent first.
 type refLRU struct {
 	capacity int
-	ll       *list.List
-	pos      map[int64]*list.Element
+	pages    []int64
 }
 
-func newRefLRU(capacity int) *refLRU {
-	return &refLRU{capacity: capacity, ll: list.New(), pos: map[int64]*list.Element{}}
-}
+func newRefLRU(capacity int) *refLRU { return &refLRU{capacity: capacity} }
 
 func (r *refLRU) touch(page int64) {
-	if el, ok := r.pos[page]; ok {
-		r.ll.MoveToFront(el)
-		return
+	if i := slices.Index(r.pages, page); i >= 0 {
+		r.pages = slices.Delete(r.pages, i, i+1)
+	} else if len(r.pages) >= r.capacity {
+		r.pages = r.pages[:len(r.pages)-1]
 	}
-	if r.ll.Len() >= r.capacity {
-		back := r.ll.Back()
-		r.ll.Remove(back)
-		delete(r.pos, back.Value.(int64))
-	}
-	r.pos[page] = r.ll.PushFront(page)
+	r.pages = slices.Insert(r.pages, 0, page)
 }
 
-func (r *refLRU) contains(page int64) bool { _, ok := r.pos[page]; return ok }
+func (r *refLRU) contains(page int64) bool { return slices.Contains(r.pages, page) }
 
-func (r *refLRU) flush() {
-	r.ll.Init()
-	r.pos = map[int64]*list.Element{}
-}
+func (r *refLRU) flush() { r.pages = r.pages[:0] }
 
 // TestFuzzPoolMatchesReferenceLRU drives the pool with a long random
 // sequence of fetches, prefetches, and flushes — each allowed to settle
@@ -75,7 +65,7 @@ func TestFuzzPoolMatchesReferenceLRU(t *testing.T) {
 				ref.flush()
 			}
 
-			if got, want := w.pool.Cached(), ref.ll.Len(); got != want {
+			if got, want := w.pool.Cached(), len(ref.pages); got != want {
 				t.Fatalf("step %d: pool holds %d pages, reference %d", step, got, want)
 			}
 			// Spot-check membership agreement on a few random pages.

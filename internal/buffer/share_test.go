@@ -194,7 +194,7 @@ func TestPrefetchStatsSplit(t *testing.T) {
 	reg := obs.NewRegistry(w.env)
 	w.pool.Publish(reg)
 	w.run(func(p *sim.Proc) {
-		w.pool.Prefetch(w.file, 0)       // one device op, one page
+		w.pool.Prefetch(w.file, 0)        // one device op, one page
 		w.pool.PrefetchRun(w.file, 10, 8) // one device op, eight pages
 		p.Sleep(5 * sim.Millisecond)
 	})

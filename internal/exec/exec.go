@@ -290,15 +290,11 @@ func (s *Spec) deliver(a *agg, h buffer.Handle, rowID int64, row table.Row) {
 	a.add(row.C1)
 }
 
-// deliverPage routes one page's worth of rows in a single pass: rows[i]
-// is row number firstRow+i, all resident on the pinned page h. Without
-// hooks the predicate and aggregate fold into one tight loop (agg.addBatch);
-// with hooks each match goes through deliver as before.
+// deliverPage routes one page's worth of rows through the row hooks:
+// rows[i] is row number firstRow+i, all resident on the pinned page h.
+// Scans without hooks fold pages through Table.MatchingC1 and agg.addC1s
+// instead.
 func (s *Spec) deliverPage(a *agg, h buffer.Handle, firstRow int64, rows []table.Row) {
-	if s.Update == nil && s.Emit == nil {
-		a.addBatch(rows, s.Lo, s.Hi)
-		return
-	}
 	for i, row := range rows {
 		if row.C2 >= s.Lo && row.C2 <= s.Hi {
 			s.deliver(a, h, firstRow+int64(i), row)
@@ -481,57 +477,47 @@ func (a *agg) add(c1 int64) {
 	a.rows++
 }
 
-// addBatch folds every row matching lo <= C2 <= hi into the accumulator,
-// equivalent to calling add per match but with the aggregate switch hoisted
-// out of the row loop.
-func (a *agg) addBatch(rows []table.Row, lo, hi int64) {
-	var n int64
+// addC1s folds the C1 values of matching rows into the accumulator,
+// equivalent to calling add per value but with the aggregate switch hoisted
+// out of the loop.
+func (a *agg) addC1s(vals []int64) {
+	if len(vals) == 0 {
+		return
+	}
 	switch a.kind {
 	case AggMax:
-		v, found := a.val, a.found
-		for _, r := range rows {
-			if r.C2 < lo || r.C2 > hi {
-				continue
+		v := a.val
+		if !a.found {
+			v = vals[0]
+		}
+		for _, c := range vals {
+			if c > v {
+				v = c
 			}
-			if !found || r.C1 > v {
-				v, found = r.C1, true
-			}
-			n++
 		}
 		a.val = v
 	case AggMin:
-		v, found := a.val, a.found
-		for _, r := range rows {
-			if r.C2 < lo || r.C2 > hi {
-				continue
+		v := a.val
+		if !a.found {
+			v = vals[0]
+		}
+		for _, c := range vals {
+			if c < v {
+				v = c
 			}
-			if !found || r.C1 < v {
-				v, found = r.C1, true
-			}
-			n++
 		}
 		a.val = v
 	case AggSum:
 		var sum int64
-		for _, r := range rows {
-			if r.C2 >= lo && r.C2 <= hi {
-				sum += r.C1
-				n++
-			}
+		for _, c := range vals {
+			sum += c
 		}
 		a.val += sum
 	case AggCount:
-		for _, r := range rows {
-			if r.C2 >= lo && r.C2 <= hi {
-				n++
-			}
-		}
-		a.val += n
+		a.val += int64(len(vals))
 	}
-	if n > 0 {
-		a.found = true
-	}
-	a.rows += n
+	a.found = true
+	a.rows += int64(len(vals))
 }
 
 func (a *agg) merge(b agg) {
@@ -744,6 +730,7 @@ func runFullScanWorkers(p *sim.Proc, ctx *Context, spec Spec, fl *fleet, nextPag
 				bud.charge(ctx.Costs.WorkerStartup)
 			}
 			var rowBuf []table.Row
+			var c1Buf []int64
 			for {
 				// The page is the abort — and retune — quantum: a tripped
 				// control stops the worker here, before it claims more work,
@@ -777,8 +764,13 @@ func runFullScanWorkers(p *sim.Proc, ctx *Context, spec Spec, fl *fleet, nextPag
 				}
 				bud.charge(ctx.Costs.PerPage +
 					sim.Duration(lastRow-firstRow)*ctx.Costs.PerRow)
-				rowBuf = t.RowsAt(firstRow, lastRow, rowBuf)
-				spec.deliverPage(&results[w], h, firstRow, rowBuf)
+				if spec.Update == nil && spec.Emit == nil {
+					c1Buf = t.MatchingC1(firstRow, lastRow, spec.Lo, spec.Hi, c1Buf)
+					results[w].addC1s(c1Buf)
+				} else {
+					rowBuf = t.RowsAt(firstRow, lastRow, rowBuf)
+					spec.deliverPage(&results[w], h, firstRow, rowBuf)
+				}
 				// One page is the batch quantum: settling here keeps workers
 				// interleaving on the CPU at page granularity (deferring
 				// across a whole prefetched block would serialize work the

@@ -67,3 +67,26 @@ func TestPropertyJoinMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestAddC1sMatchesAdd checks the hook-free page fold against the per-row
+// accumulator for every aggregate, over random batches that include empty
+// ones and negative values, fed one after another into one accumulator.
+func TestAddC1sMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, kind := range []AggKind{AggMax, AggMin, AggSum, AggCount} {
+		batched, perRow := agg{kind: kind}, agg{kind: kind}
+		for batch := 0; batch < 50; batch++ {
+			vals := make([]int64, rng.Intn(4))
+			for i := range vals {
+				vals[i] = rng.Int63n(2001) - 1000
+			}
+			batched.addC1s(vals)
+			for _, v := range vals {
+				perRow.add(v)
+			}
+			if batched != perRow {
+				t.Fatalf("%v batch %d: addC1s gives %+v, add gives %+v", kind, batch, batched, perRow)
+			}
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"pioqo/internal/sim"
-	"pioqo/internal/table"
 )
 
 // sharable reports whether this spec can ride a circulating scan: a plain
@@ -41,7 +40,7 @@ func runSharedFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 
 	cons := ctx.Shares.Attach(spec.QID, t.File(), t.Pages())
 	defer cons.Detach()
-	var rowBuf []table.Row
+	var c1Buf []int64
 	for {
 		if spec.aborted() {
 			return a.result()
@@ -74,8 +73,8 @@ func runSharedFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 			}
 			bud.charge(ctx.Costs.PerPage +
 				sim.Duration(lastRow-firstRow)*ctx.Costs.PerRow)
-			rowBuf = t.RowsAt(firstRow, lastRow, rowBuf)
-			a.addBatch(rowBuf, spec.Lo, spec.Hi)
+			c1Buf = t.MatchingC1(firstRow, lastRow, spec.Lo, spec.Hi, c1Buf)
+			a.addC1s(c1Buf)
 			m.pages++
 			if spec.Progress != nil {
 				// Pages delivered to *this* consumer — not the producer's

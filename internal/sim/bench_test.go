@@ -22,8 +22,9 @@ func BenchmarkEventThroughput(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkProcessContextSwitch measures the coroutine handoff cost: one
-// process sleeping is two channel operations per event.
+// BenchmarkProcessContextSwitch measures the self-resume path: one process
+// sleeping in a loop is always the next event, so its own dispatch hands the
+// baton straight back to it with no channel operation.
 func BenchmarkProcessContextSwitch(b *testing.B) {
 	e := NewEnv(1)
 	e.Go("sleeper", func(p *Proc) {
@@ -31,6 +32,22 @@ func BenchmarkProcessContextSwitch(b *testing.B) {
 			p.Sleep(Microsecond)
 		}
 	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkPingPong measures the non-self switch: two processes sleeping in
+// lockstep wake alternately, so every event hands the baton to the other
+// goroutine (one channel send and one receive).
+func BenchmarkPingPong(b *testing.B) {
+	e := NewEnv(1)
+	for _, name := range []string{"ping", "pong"} {
+		e.Go(name, func(p *Proc) {
+			for i := 0; i < b.N/2+1; i++ {
+				p.Sleep(Microsecond)
+			}
+		})
+	}
 	b.ResetTimer()
 	e.Run()
 }

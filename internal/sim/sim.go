@@ -10,12 +10,14 @@
 // The programming model mirrors classic process-oriented simulators
 // (SimPy, CSIM): a process is an ordinary function running on its own
 // goroutine that blocks in virtual time via Proc.Sleep, Proc.Wait, or
-// Proc.Acquire. The scheduler guarantees mutual exclusion between
-// processes, so simulation state needs no locking.
+// Proc.Acquire. Control passes between goroutines as a baton (see Env), so
+// exactly one of them touches simulation state at a time and that state
+// needs no locking.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -135,19 +137,35 @@ func (q *eventQueue) pop() event {
 // set of live processes. An Env is not safe for concurrent use from host
 // goroutines; all interaction happens from process context or between calls
 // to Run.
+//
+// Control moves by baton passing. Exactly one goroutine holds the baton:
+// Run's caller, or the process currently executing. A process that parks or
+// exits keeps the baton and dispatches events itself — callbacks run inline
+// on its goroutine — until it reaches the next process wakeup, then hands
+// the baton straight to that process. When the wakeup is its own, it simply
+// returns. The baton goes back to Run's caller only when the queue drains,
+// the RunUntil deadline is reached, or a panic must be re-raised there.
 type Env struct {
 	now    Time
 	events eventQueue
 	seq    uint64
 	rng    *rand.Rand
 
-	yield   chan struct{} // signalled when the running process parks or exits
 	live    map[*Proc]struct{}
 	nParked int // live processes currently parked, for deadlock detection
 
-	// panicked carries a panic raised inside a process goroutine so that it
-	// can be re-raised on the scheduler goroutine, where callers of Run can
-	// recover it.
+	// deadline bounds the current Run/RunUntil: events after it stay
+	// queued. ret hands the baton back to Run's caller.
+	deadline Time
+	ret      chan struct{}
+
+	// spawned is the process a Go start event just launched; dispatch
+	// hands it the baton right after that event, as if it were a wakeup.
+	spawned *Proc
+
+	// panicked carries a panic raised on a process goroutine — by the
+	// process itself or by a callback it dispatched — back to Run's
+	// caller, where it is re-raised so callers of Run can recover it.
 	panicked interface{}
 }
 
@@ -156,9 +174,9 @@ type Env struct {
 // driven by the same process logic produce identical event sequences.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-		live:  make(map[*Proc]struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
+		ret:  make(chan struct{}),
+		live: make(map[*Proc]struct{}),
 	}
 }
 
@@ -206,14 +224,13 @@ const (
 	parkResource
 )
 
-// Proc is a simulation process: a goroutine that runs under the scheduler's
-// control and blocks in virtual time. Methods on Proc must only be called
+// Proc is a simulation process: a goroutine that runs while it holds the
+// baton and blocks in virtual time. Methods on Proc must only be called
 // from the process's own goroutine.
 type Proc struct {
 	env    *Env
 	name   string
 	resume chan struct{}
-	done   bool
 
 	parked    bool
 	parkKind  parkKind
@@ -253,49 +270,43 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, resume: make(chan struct{})}
 	e.live[p] = struct{}{}
 	e.Schedule(0, func() {
-		go func() {
-			<-p.resume // wait for the scheduler to hand over control
-			defer func() {
-				if r := recover(); r != nil {
-					e.panicked = r
-				}
-				p.done = true
-				delete(e.live, p)
-				e.yield <- struct{}{}
-			}()
-			fn(p)
-		}()
-		e.handoff(p)
+		go p.run(fn)
+		e.spawned = p
 	})
 	return p
 }
 
-// handoff transfers control to p and blocks until p parks or exits. It must
-// run on the scheduler's goroutine (inside an event callback).
-func (e *Env) handoff(p *Proc) {
-	if p.parked {
-		p.parked = false
-		p.parkKind = parkNone
-		e.nParked--
-	}
-	p.resume <- struct{}{}
-	<-e.yield
-	if r := e.panicked; r != nil {
-		e.panicked = nil
-		panic(r)
-	}
+// run is a process goroutine's body: wait for the baton, run fn, and pass
+// the baton on when fn returns.
+func (p *Proc) run(fn func(p *Proc)) {
+	e := p.env
+	<-p.resume
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked = r
+		}
+		delete(e.live, p)
+		if e.panicked != nil {
+			e.ret <- struct{}{}
+			return
+		}
+		e.pass(nil)
+	}()
+	fn(p)
 }
 
 // park suspends the calling process, recording a typed wait reason for
-// deadlock reports, and returns control to the scheduler until the process
-// is resumed.
+// deadlock reports, and dispatches events on its goroutine until the
+// process is resumed.
 func (p *Proc) park(kind parkKind, d Duration, extra string) {
 	p.parked = true
 	p.parkKind = kind
 	p.parkDur = d
 	p.parkExtra = extra
 	p.env.nParked++
-	p.env.yield <- struct{}{}
+	if p.env.pass(p) {
+		return
+	}
 	<-p.resume
 }
 
@@ -308,17 +319,73 @@ func (p *Proc) Sleep(d Duration) {
 	p.park(parkSleep, d, "")
 }
 
-// step advances the clock to ev and fires it.
-func (e *Env) step(ev event) {
-	if ev.at < e.now {
-		panic("sim: event queue went backwards")
+// dispatch fires events in (at, seq) order until it reaches a process
+// wakeup or a started process, which it returns with the process marked
+// runnable. Callbacks run inline on the calling goroutine. It returns nil
+// when the queue is empty or the next event lies past the deadline.
+func (e *Env) dispatch() *Proc {
+	for len(e.events) > 0 && e.events[0].at <= e.deadline {
+		ev := e.events.pop()
+		if ev.at < e.now {
+			panic("sim: event queue went backwards")
+		}
+		e.now = ev.at
+		p := ev.proc
+		if p == nil {
+			ev.fn()
+			if p = e.spawned; p == nil {
+				continue
+			}
+			e.spawned = nil
+		}
+		if p.parked {
+			p.parked = false
+			p.parkKind = parkNone
+			e.nParked--
+		}
+		return p
 	}
-	e.now = ev.at
-	if ev.proc != nil {
-		e.handoff(ev.proc)
+	return nil
+}
+
+// pass hands the baton on from a process goroutine: self is the process
+// parking there (nil when it is exiting). It reports true when the next
+// runnable process is self, which then continues without any channel
+// operation. Otherwise the baton goes to the next process, or back to
+// Run's caller when dispatch stops or a callback panics.
+func (e *Env) pass(self *Proc) (resumeSelf bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked = r
+			e.ret <- struct{}{}
+		}
+	}()
+	switch next := e.dispatch(); {
+	case next == nil:
+		e.ret <- struct{}{}
+	case next == self:
+		return true
+	default:
+		next.resume <- struct{}{}
+	}
+	return false
+}
+
+// run drives the simulation up to deadline from Run's caller: it
+// dispatches until the first process wakeup, hands that process the baton
+// and waits for the baton to come back.
+func (e *Env) run(deadline Time) {
+	e.deadline = deadline
+	next := e.dispatch()
+	if next == nil {
 		return
 	}
-	ev.fn()
+	next.resume <- struct{}{}
+	<-e.ret
+	if r := e.panicked; r != nil {
+		e.panicked = nil
+		panic(r)
+	}
 }
 
 // checkDeadlock panics with the parked processes' names and wait reasons if
@@ -343,9 +410,7 @@ func (e *Env) checkDeadlock() {
 // the simulation has deadlocked and Run panics with the parked processes'
 // names and wait reasons.
 func (e *Env) Run() Time {
-	for len(e.events) > 0 {
-		e.step(e.events.pop())
-	}
+	e.run(math.MaxInt64)
 	e.checkDeadlock()
 	return e.now
 }
@@ -356,11 +421,9 @@ func (e *Env) Run() Time {
 // Like Run, it enforces clock monotonicity and panics with a deadlock report
 // if the queue drains while processes are still parked.
 func (e *Env) RunUntil(deadline Time) bool {
-	for len(e.events) > 0 {
-		if e.events[0].at > deadline {
-			return false
-		}
-		e.step(e.events.pop())
+	e.run(deadline)
+	if len(e.events) > 0 {
+		return false
 	}
 	e.checkDeadlock()
 	return true

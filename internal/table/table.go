@@ -57,6 +57,13 @@ type Table interface {
 	// hi−lo RowAt calls. The same I/O contract as RowAt applies.
 	RowsAt(lo, hi int64, buf []Row) []Row
 
+	// MatchingC1 returns, in row order and reusing buf's backing array,
+	// the C1 values of rows [lo, hi) whose C2 lies in [keyLo, keyHi] — the
+	// filter-first kernel hook-free scans fold pages with. It equals
+	// RowsAt filtered by C2, but computes C1 only for matching rows. The
+	// same I/O contract as RowAt applies.
+	MatchingC1(lo, hi, keyLo, keyHi int64, buf []int64) []int64
+
 	// KeyDomain returns D such that C2 values lie in [0, D).
 	KeyDomain() int64
 }
@@ -166,6 +173,19 @@ func (t *Materialized) RowsAt(lo, hi int64, buf []Row) []Row {
 	return buf
 }
 
+// MatchingC1 implements Table.
+func (t *Materialized) MatchingC1(lo, hi, keyLo, keyHi int64, buf []int64) []int64 {
+	buf = buf[:0]
+	c2 := t.c2[lo:hi]
+	c1 := t.c1[lo:hi][:len(c2)]
+	for i, key := range c2 {
+		if key >= keyLo && key <= keyHi {
+			buf = append(buf, c1[i])
+		}
+	}
+	return buf
+}
+
 // SetC1 updates a row's C1 value in place. Only the materialized backing
 // is updatable; the caller is responsible for marking the holding page
 // dirty in the buffer pool.
@@ -245,6 +265,31 @@ func (t *Synthetic) RowsAt(lo, hi int64, buf []Row) []Row {
 	n := uint64(t.rows)
 	for row := lo; row < hi; row++ {
 		buf = append(buf, Row{C1: int64(mix64(uint64(row)) % n), C2: key})
+		key += t.a
+		if key >= t.rows {
+			key -= t.rows
+		}
+	}
+	return buf
+}
+
+// MatchingC1 implements Table. It steps the key exactly as RowsAt does but
+// hashes C1 only for rows whose key matches, so a selective predicate skips
+// nearly all of the per-row hashing. With keyLo <= keyHi, the two-sided test
+// is one unsigned compare: subtracting keyLo (mod 2⁶⁴) maps [keyLo, keyHi]
+// onto [0, span] and every other key above span.
+func (t *Synthetic) MatchingC1(lo, hi, keyLo, keyHi int64, buf []int64) []int64 {
+	buf = buf[:0]
+	if keyLo > keyHi {
+		return buf
+	}
+	span := uint64(keyHi - keyLo)
+	key := t.key(lo)
+	n := uint64(t.rows)
+	for row := lo; row < hi; row++ {
+		if uint64(key-keyLo) <= span {
+			buf = append(buf, int64(mix64(uint64(row))%n))
+		}
 		key += t.a
 		if key >= t.rows {
 			key -= t.rows

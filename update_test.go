@@ -1,6 +1,10 @@
 package pioqo
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"time"
+)
 
 func TestUpdateModifiesValuesDurably(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 20000, 33)
@@ -87,5 +91,29 @@ func TestUpdateWriteBackOnEviction(t *testing.T) {
 	if up.PagesWritten < tab.Pages()/2 {
 		t.Errorf("only %d pages written for a full-table update of %d pages",
 			up.PagesWritten, tab.Pages())
+	}
+}
+
+// A checkpoint's write-backs go out in page order, so two same-seed HDD
+// runs seek identically and report identical Update runtimes.
+func TestUpdateCheckpointRuntimeRepeats(t *testing.T) {
+	run := func() []time.Duration {
+		sys, tab := newCalibrated(t, HDD, 40000, 33)
+		var out []time.Duration
+		for i, lo := range []int64{0, 9000, 21000, 30000} {
+			up, err := sys.Update(UpdateQuery{Table: tab, Low: lo, High: lo + 1999, Delta: int64(i + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up.PagesWritten < 2 {
+				t.Fatalf("update %d wrote %d pages; the checkpoint order is untested", i, up.PagesWritten)
+			}
+			out = append(out, up.Runtime)
+		}
+		return out
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same-seed Update runtimes differ: %v vs %v", a, b)
 	}
 }
